@@ -8,9 +8,9 @@ cheap to compare.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import total_ordering
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 __all__ = ["IPv4Addr", "MacAddr", "ip", "mac", "Subnet"]
 
@@ -21,6 +21,12 @@ class IPv4Addr:
     """An IPv4 address stored as a 32-bit unsigned integer."""
 
     value: int
+    #: dotted text, formatted on the first ``str()`` and kept with the
+    #: address (not part of equality, hashing or repr), so every trace
+    #: record naming this address shares one string
+    _text: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not 0 <= self.value <= 0xFFFFFFFF:
@@ -40,8 +46,12 @@ class IPv4Addr:
         return cls(value)
 
     def __str__(self) -> str:
-        v = self.value
-        return f"{(v >> 24) & 255}.{(v >> 16) & 255}.{(v >> 8) & 255}.{v & 255}"
+        text = self._text
+        if text is None:
+            v = self.value
+            text = f"{(v >> 24) & 255}.{(v >> 16) & 255}.{(v >> 8) & 255}.{v & 255}"
+            object.__setattr__(self, "_text", text)
+        return text
 
     def __repr__(self) -> str:
         return f"IPv4Addr({str(self)!r})"

@@ -232,6 +232,25 @@ class FlowEntry:
     #: first-installed-wins among equal-priority matches (an entry object
     #: belongs to at most one table at a time)
     seq: int = dc_field(default=0, repr=False, compare=False)
+    #: memo behind :attr:`rewrites`: the action sequence last counted
+    _rewrites_of: Any = dc_field(default=None, init=False, repr=False, compare=False)
+    _rewrites: int = dc_field(default=0, init=False, repr=False, compare=False)
+
+    @property
+    def rewrites(self) -> int:
+        """Header-rewriting actions (set-field, MPLS push/pop) in the list.
+
+        The switch pipeline prices every packet by this count, so it is
+        counted once per action sequence and recounted when ``actions`` is
+        replaced by another sequence (action lists are not edited in place).
+        """
+        actions = self.actions
+        if actions is not self._rewrites_of:
+            self._rewrites = sum(
+                1 for a in actions if isinstance(a, (SetField, PushMpls, PopMpls))
+            )
+            self._rewrites_of = actions
+        return self._rewrites
 
     def describe(self) -> str:
         """One-line rule rendering for traces and debugging."""
@@ -419,6 +438,12 @@ class FlowTable:
         #: opt-in self-profiler (repro.obs.prof.Profiler); None = off and
         #: the lookup hooks below are statically dead.
         self._prof: Optional[Any] = None
+
+    @property
+    def version(self) -> int:
+        """Mutation counter: changes on every install, removal, group change
+        and clear.  Equal versions mean identical classification."""
+        return self._version
 
     def _bump(self) -> None:
         """Record a table mutation: stale the flat view and the cache."""
@@ -663,7 +688,11 @@ class FlowTable:
                 prof.exit()
 
     def apply(
-        self, packet: Packet, in_port: int
+        self,
+        packet: Packet,
+        in_port: int,
+        entry: Optional[FlowEntry] = None,
+        version: Optional[int] = None,
     ) -> tuple[list[tuple[int, Packet]], bool, Optional[FlowEntry]]:
         """Run the pipeline on ``packet``.
 
@@ -672,20 +701,32 @@ class FlowTable:
         rule (``None`` on table miss — the caller decides miss behaviour,
         usually punting to the controller like OVS's default).
 
+        ``entry`` and ``version`` let a caller that already classified the
+        packet skip the second lookup: pass what :meth:`lookup` returned
+        and :attr:`version` as it was then.  The entry is reused only while
+        the version is unchanged; after any table mutation the packet is
+        classified again.  Lookup depends only on the header fields,
+        ``in_port`` and the table, so the result is the entry a fresh
+        lookup would return, provided the header was not rewritten in
+        between.  Without ``version`` the packet is always looked up (the
+        reference behaviour).
+
         Counter semantics: ``packet_count`` counts matched packets;
         ``byte_count`` counts the bytes the rule put on the wire — one
         post-rewrite size per emitted copy, so a partial-multicast group
         with *k* buckets charges all *k* copies.  A rule that emits nothing
         (drop, punt-only) charges the matched packet's ingress size.
         """
-        entry = self.lookup(packet, in_port)
+        if version != self._version:
+            entry = self.lookup(packet, in_port)
         if entry is None:
             return [], True, None
         entry.packet_count += 1
         ingress_size = packet.size
         emissions, to_controller = self._run_actions(entry.actions, packet)
         if emissions:
-            entry.byte_count += sum(p.size for _, p in emissions)
+            for _port, out_pkt in emissions:
+                entry.byte_count += out_pkt.size
         else:
             entry.byte_count += ingress_size
         return emissions, to_controller, entry
@@ -697,13 +738,9 @@ class FlowTable:
         to_controller = False
         emitted_current = False
         for action in actions:
-            if isinstance(action, SetField):
-                setattr(packet, action.field, action.value)
-            elif isinstance(action, PushMpls):
-                packet.mpls = action.label
-            elif isinstance(action, PopMpls):
-                packet.mpls = None
-            elif isinstance(action, Output):
+            # Most frequent first (every rule outputs, MN rules also set
+            # fields); the action classes are disjoint, so order is free.
+            if isinstance(action, Output):
                 # Emit a snapshot so later rewrites of the live packet do not
                 # retroactively change what was sent.  The first emission
                 # keeps the packet's uid (the common unicast case); further
@@ -711,6 +748,12 @@ class FlowTable:
                 out_pkt = packet.copy(fresh_identity=emitted_current)
                 emissions.append((action.port, out_pkt))
                 emitted_current = True
+            elif isinstance(action, SetField):
+                setattr(packet, action.field, action.value)
+            elif isinstance(action, PushMpls):
+                packet.mpls = action.label
+            elif isinstance(action, PopMpls):
+                packet.mpls = None
             elif isinstance(action, Group):
                 group = self._groups.get(action.group_id)
                 if group is None:

@@ -80,9 +80,10 @@ class Host(Node):
     # -- sending ---------------------------------------------------------------
     def send_packet(self, packet: Packet) -> None:
         """Push a fully-formed packet out of the NIC through the stack."""
-        self._book_stack_work(packet)
+        size = packet.size
+        self._book_stack_work(size)
         self.packets_sent += 1
-        self.bytes_sent += packet.size
+        self.bytes_sent += size
         if self.journey is not None:
             self.journey.on_host_tx(self, packet)
         self.trace.emit(
@@ -91,7 +92,7 @@ class Host(Node):
             self.name,
             uid=packet.uid,
             dst_ip=str(packet.ip_dst),
-            size=packet.size,
+            size=size,
         )
         self.sim.call_later(
             self.params.host_stack_delay_s,
@@ -139,9 +140,10 @@ class Host(Node):
             if self.journey is not None:
                 self.journey.on_host_foreign_drop(self, packet)
             return
-        self._book_stack_work(packet)
+        size = packet.size
+        self._book_stack_work(size)
         self.packets_received += 1
-        self.bytes_received += packet.size
+        self.bytes_received += size
         if self.obs is not None:
             self.obs.on_host_rx(self, packet)
         if self.journey is not None:
@@ -154,7 +156,7 @@ class Host(Node):
             src_ip=str(packet.ip_src),
             sport=packet.sport,
             dport=packet.dport,
-            size=packet.size,
+            size=size,
         )
         self.sim.call_later(
             self.params.host_stack_delay_s, lambda: self._dispatch(packet)
@@ -172,8 +174,7 @@ class Host(Node):
                 proto=packet.proto, dport=packet.dport,
             )
 
-    def _book_stack_work(self, packet: Packet) -> None:
+    def _book_stack_work(self, size: int) -> None:
         self.cpu.consume(
-            self.params.host_stack_cpu_s
-            + packet.size * self.params.host_per_byte_cpu_s
+            self.params.host_stack_cpu_s + size * self.params.host_per_byte_cpu_s
         )

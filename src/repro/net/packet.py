@@ -18,7 +18,7 @@ Two identity notions matter for the security analysis:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .addresses import IPv4Addr, MacAddr
@@ -38,6 +38,10 @@ IP_HEADER = 20
 TCP_HEADER = 20
 UDP_HEADER = 8
 MPLS_SHIM = 4
+
+#: header bytes without the MPLS shim, per L4 protocol
+_TCP_BASE = ETH_HEADER + IP_HEADER + TCP_HEADER
+_UDP_BASE = ETH_HEADER + IP_HEADER + UDP_HEADER
 
 _uid_counter = itertools.count(1)
 _tag_counter = itertools.count(1)
@@ -93,9 +97,12 @@ class Packet:
     created_at: float = 0.0
 
     def __post_init__(self) -> None:
-        for name, port in (("sport", self.sport), ("dport", self.dport)):
-            if not 0 <= port <= 0xFFFF:
-                raise ValueError(f"{name} out of range: {port}")
+        # Also the check for header values a SetField rewrote: every
+        # emitted copy is built through here (see :meth:`copy`).
+        if not 0 <= self.sport <= 0xFFFF:
+            raise ValueError(f"sport out of range: {self.sport}")
+        if not 0 <= self.dport <= 0xFFFF:
+            raise ValueError(f"dport out of range: {self.dport}")
         if self.mpls is not None and not 0 <= self.mpls < (1 << 32):
             # The real MPLS label is 20 bits; the paper reasons over a 32-bit
             # label, so the model accepts the wider range (configurable at
@@ -110,14 +117,17 @@ class Packet:
     @property
     def header_size(self) -> int:
         """Total header bytes (Ethernet + shim + IP + L4)."""
-        l4 = TCP_HEADER if self.proto == "tcp" else UDP_HEADER
-        shim = MPLS_SHIM if self.mpls is not None else 0
-        return ETH_HEADER + shim + IP_HEADER + l4
+        base = _TCP_BASE if self.proto == "tcp" else _UDP_BASE
+        return base if self.mpls is None else base + MPLS_SHIM
 
     @property
     def size(self) -> int:
         """Total on-wire size in bytes."""
-        return self.header_size + self.payload_size
+        # header_size inlined: this is read several times per hop
+        base = _TCP_BASE if self.proto == "tcp" else _UDP_BASE
+        if self.mpls is None:
+            return base + self.payload_size
+        return base + MPLS_SHIM + self.payload_size
 
     # ------------------------------------------------------------------
     def match_tuple(self) -> tuple[IPv4Addr, IPv4Addr, Optional[int]]:
@@ -134,8 +144,16 @@ class Packet:
         With ``fresh_identity`` (the default, used by partial multicast) the
         copy gets its own ``uid`` but keeps the ``content_tag`` — on the wire
         the decoy copies carry the same bytes.
+
+        The copy is built through the constructor, so ``__post_init__``
+        range-checks the header as it stands now, including any value a
+        ``SetField`` rewrote into it.
         """
-        dup = replace(self)
+        dup = Packet(
+            self.eth_src, self.eth_dst, self.ip_src, self.ip_dst, self.proto,
+            self.sport, self.dport, self.mpls, self.ttl, self.payload,
+            self.payload_size, self.uid, self.content_tag, self.created_at,
+        )
         if fresh_identity:
             dup.uid = fresh_uid()
         return dup

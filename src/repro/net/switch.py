@@ -1,10 +1,12 @@
 """SDN switch node.
 
-The data path: receive → pipeline delay (plus a per-rewrite surcharge so
-MIC's extra set-field "actions" cost something, per Sec VI-B) → flow-table
-classification → emit / punt.  Table misses are punted to the controller,
-OVS-style, through the control channel the controller registers at
-connection time.
+The data path: receive → flow-table classification → pipeline delay (plus a
+per-rewrite surcharge so MIC's extra set-field "actions" cost something, per
+Sec VI-B) → apply the matched entry → emit / punt.  One lookup per packet:
+the entry found on receive is applied after the delay unless the table
+changed meanwhile (see docs/dataplane.md, "Per-hop cost").  Table misses
+are punted to the controller, OVS-style, through the control channel the
+controller registers at connection time.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..sim import Simulator, TraceLog
-from .flowtable import FlowTable, PopMpls, PushMpls, SetField
+from .flowtable import FlowEntry, FlowTable
 from .node import Node
 from .packet import Packet
 from .params import NetParams
@@ -25,10 +27,6 @@ class SwitchDownError(RuntimeError):
 
 #: callback type the controller registers: (switch, packet, in_port) -> None
 PacketInHandler = Callable[["Switch", Packet, int], None]
-
-
-def _rewrite_count(actions) -> int:
-    return sum(1 for a in actions if isinstance(a, (SetField, PushMpls, PopMpls)))
 
 
 class Switch(Node):
@@ -84,7 +82,13 @@ class Switch(Node):
 
     # -- data path -----------------------------------------------------------
     def receive(self, packet: Packet, in_port: int) -> None:
-        """Data-path entry: mirror, delay, then classify."""
+        """Data-path entry: mirror, classify, delay, then apply.
+
+        The packet is classified once, here, because the matched rule's
+        rewrite count prices the pipeline delay.  The entry and the table
+        version travel to :meth:`_classify`, which reuses the entry unless a
+        flow-mod, removal or crash changed the table during the delay.
+        """
         if not self.alive:
             self.packets_dropped_dead += 1
             self.trace.emit(
@@ -94,50 +98,60 @@ class Switch(Node):
         self._mirror(packet, in_port, "in")
         if self.journey is not None:
             self.journey.on_switch_ingress(self, packet, in_port)
-        entry = self.table.lookup(packet, in_port)
-        rewrites = _rewrite_count(entry.actions) if entry else 0
-        delay = (
-            self.params.switch_forward_delay_s
-            + rewrites * self.params.setfield_delay_s
-        )
+        table = self.table
+        entry = table.lookup(packet, in_port)
+        version = table.version
+        rewrites = entry.rewrites if entry is not None else 0
+        params = self.params
+        delay = params.switch_forward_delay_s + rewrites * params.setfield_delay_s
         self.cpu.consume(
-            self.params.switch_forward_cpu_s + rewrites * self.params.setfield_cpu_s
+            params.switch_forward_cpu_s + rewrites * params.setfield_cpu_s
         )
-        self.sim.call_later(delay, lambda: self._classify(packet, in_port))
+        self.sim.call_later(
+            delay, lambda: self._classify(packet, in_port, entry, version)
+        )
 
-    def _classify(self, packet: Packet, in_port: int) -> None:
+    def _classify(
+        self,
+        packet: Packet,
+        in_port: int,
+        entry: Optional[FlowEntry] = None,
+        version: Optional[int] = None,
+    ) -> None:
+        now = self.sim.now
         if not self.alive:
             # Crashed mid-pipeline: the packet dies with the chassis.
             self.packets_dropped_dead += 1
-            self.trace.emit(
-                self.sim.now, "switch.dead_drop", self.name, uid=packet.uid
-            )
+            self.trace.emit(now, "switch.dead_drop", self.name, uid=packet.uid)
             return
         packet.ttl -= 1
         if packet.ttl <= 0:
-            self.trace.emit(self.sim.now, "switch.ttl_expired", self.name, uid=packet.uid)
+            self.trace.emit(now, "switch.ttl_expired", self.name, uid=packet.uid)
             if self.journey is not None:
                 self.journey.on_ttl_expired(self, packet, in_port)
             return
-        pre = self.journey.pre_apply(packet) if self.journey is not None else None
-        emissions, to_controller, entry = self.table.apply(packet, in_port)
+        journey = self.journey
+        pre = journey.pre_apply(packet) if journey is not None else None
+        emissions, to_controller, entry = self.table.apply(
+            packet, in_port, entry, version
+        )
         if entry is None:
             self.packets_punted += 1
             self.trace.emit(
-                self.sim.now,
+                now,
                 "switch.miss",
                 self.name,
                 uid=packet.uid,
                 src_ip=str(packet.ip_src),
                 dst_ip=str(packet.ip_dst),
             )
-            if self.journey is not None:
-                self.journey.on_switch_miss(self, packet, in_port)
+            if journey is not None:
+                journey.on_switch_miss(self, packet, in_port)
             self._punt(packet, in_port)
             return
-        entry.last_hit_s = self.sim.now
+        entry.last_hit_s = now
         if pre is not None:
-            self.journey.on_switch_applied(
+            journey.on_switch_applied(
                 self, packet, in_port, entry, pre, emissions
             )
         if to_controller:
@@ -146,7 +160,7 @@ class Switch(Node):
             self.packets_forwarded += 1
             self._mirror(out_pkt, port, "out")
             self.trace.emit(
-                self.sim.now,
+                now,
                 "switch.fwd",
                 self.name,
                 uid=out_pkt.uid,

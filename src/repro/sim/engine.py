@@ -51,7 +51,9 @@ class Event:
     yielding them; plain callbacks can be attached via :attr:`callbacks`.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_processed", "_scheduled")
+    __slots__ = (
+        "sim", "callbacks", "_value", "_ok", "_processed", "_scheduled", "_call",
+    )
 
     #: sentinel for "no value yet"
     _PENDING = object()
@@ -63,6 +65,9 @@ class Event:
         self._ok: bool = True
         self._processed = False
         self._scheduled = False
+        #: plain no-argument callback set by :meth:`Simulator.call_later`;
+        #: runs before :attr:`callbacks`
+        self._call: Optional[Callable[[], None]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -110,6 +115,9 @@ class Event:
 
     def _run_callbacks(self) -> None:
         callbacks, self.callbacks = self.callbacks, []
+        call = self._call
+        if call is not None:
+            call()
         for cb in callbacks:
             cb(self)
         self._processed = True
@@ -178,7 +186,9 @@ class AnyOf(Event):
         if not self._events:
             raise SimulationError("AnyOf needs at least one event")
         for ev in self._events:
-            if ev.triggered:
+            # ``processed``, not ``triggered``: a pending Timeout counts as
+            # triggered from creation but has not fired yet.
+            if ev.processed:
                 self._child_done(ev)
                 break
             ev.callbacks.append(self._child_done)
@@ -389,10 +399,17 @@ class Simulator:
         return Process(self, gen, name=name)
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> Event:
-        """Run a plain callback ``delay`` seconds from now."""
+        """Run a plain callback ``delay`` seconds from now.
+
+        Returns the already-triggered event that runs ``fn`` when it fires
+        (more callbacks may be attached to it).  The event goes onto the
+        heap through the same checks and sanitizer hook as
+        :meth:`Event.succeed`, without a wrapper closure around ``fn``.
+        """
         ev = Event(self)
-        ev.callbacks.append(lambda _ev: fn())
-        ev.succeed(delay=delay)
+        ev._value = None
+        ev._call = fn
+        self._schedule(ev, delay)
         return ev
 
     def call_at(self, when: float, fn: Callable[[], None]) -> Event:

@@ -1,7 +1,7 @@
 """Structured event tracing.
 
 Every substrate component emits trace records through a shared
-:class:`TraceLog`.  Records are cheap named tuples; tracing can be filtered
+:class:`TraceLog`.  Records are cheap slotted objects; tracing can be filtered
 by category to keep long benchmark runs lean, and the attack modules consume
 traces as the adversary's observation feed (a compromised switch literally
 replays the trace records emitted at that switch).
@@ -15,17 +15,42 @@ from typing import Any, Callable, Iterator, Optional
 __all__ = ["TraceRecord", "TraceLog"]
 
 
-@dataclass(frozen=True)
 class TraceRecord:
-    """One traced occurrence."""
+    """One traced occurrence.
 
-    time: float
-    category: str
-    node: str
-    detail: dict[str, Any]
+    A plain slotted record (one is built per traced hop, so construction
+    cost matters): attribute access, ``rec["key"]`` into :attr:`detail`,
+    and field-wise equality between records.  Records are read-only by
+    convention; nothing mutates one after :meth:`TraceLog.emit` built it.
+    """
+
+    __slots__ = ("time", "category", "node", "detail")
+
+    def __init__(
+        self, time: float, category: str, node: str, detail: dict[str, Any]
+    ) -> None:
+        self.time = time
+        self.category = category
+        self.node = node
+        self.detail = detail
 
     def __getitem__(self, key: str) -> Any:
         return self.detail[key]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.time, self.category, self.node, self.detail) == (
+            other.time, other.category, other.node, other.detail  # type: ignore[attr-defined]
+        )
+
+    __hash__ = None  # type: ignore[assignment]  # detail is a dict
+
+    def __repr__(self) -> str:
+        return (
+            f"TraceRecord(time={self.time!r}, category={self.category!r}, "
+            f"node={self.node!r}, detail={self.detail!r})"
+        )
 
 
 @dataclass
@@ -47,9 +72,10 @@ class TraceLog:
 
     def emit(self, time: float, category: str, node: str, **detail: Any) -> None:  # taint: sink
         """Record one occurrence (and notify subscribers)."""
-        if not self.enabled(category):
+        categories = self.categories
+        if categories is not None and category not in categories:
             return
-        rec = TraceRecord(time=time, category=category, node=node, detail=detail)
+        rec = TraceRecord(time, category, node, detail)
         self.records.append(rec)
         for sub in self.subscribers:
             sub(rec)

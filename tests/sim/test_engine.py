@@ -308,3 +308,64 @@ def test_peek_and_step():
     assert sim.peek() == float("inf")
     with pytest.raises(SimulationError):
         sim.step()
+
+
+def test_any_of_waits_for_a_pending_timeout():
+    # A Timeout counts as triggered from creation, but it has not fired:
+    # an event succeeded at t=1 must win over a 5 s timeout.
+    sim = Simulator()
+    ev = sim.event()
+    sim.call_later(1.0, lambda: ev.succeed("ev"))
+    race = sim.any_of([sim.timeout(5.0, "timeout"), ev])
+    assert not race.triggered
+    winner, value = sim.run(until=race)
+    assert winner is ev and value == "ev"
+    assert sim.now == 1.0
+
+
+def test_any_of_fires_at_once_on_a_processed_child():
+    sim = Simulator()
+    done = sim.timeout(1.0, "done")
+    sim.run()
+    assert done.processed
+    race = sim.any_of([sim.event(), done])
+    assert race.triggered
+    winner, value = sim.run(until=race)
+    assert winner is done and value == "done"
+    assert sim.now == 1.0
+
+
+def test_call_later_returns_the_event_that_runs_the_callback():
+    sim = Simulator()
+    seen = []
+    ev = sim.call_later(2.0, lambda: seen.append(sim.now))
+    assert type(ev).__name__ == "Event"
+    assert ev.triggered and not ev.processed
+    ev.callbacks.append(lambda e: seen.append(("callback", e.value)))
+    sim.run()
+    assert seen == [2.0, ("callback", None)]
+    assert ev.processed and ev.ok
+
+
+def test_call_later_refuses_the_past():
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.call_later(-0.5, lambda: None)
+    sim.call_later(1.0, lambda: None)
+    sim.run()
+    with pytest.raises(SimulationError):
+        sim.call_at(0.5, lambda: None)
+    assert sim.peek() == float("inf")
+
+
+def test_call_later_reports_to_the_sanitizer():
+    sim = Simulator()
+    scheduled = []
+
+    class Hook:
+        def _on_schedule(self, event, delay):
+            scheduled.append((event, delay))
+
+    sim._sanitizer = Hook()
+    ev = sim.call_later(0.25, lambda: None)
+    assert scheduled == [(ev, 0.25)]
